@@ -46,6 +46,18 @@ type realClock struct{}
 func (realClock) Now() time.Time                         { return time.Now() }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
+// HTTP server timeouts, so that a slow or idle client cannot hold a
+// connection open indefinitely. There is deliberately no WriteTimeout:
+// a job's SSE event stream stays open for as long as the job runs.
+// ReadTimeout does not cut such a stream: net/http clears the read
+// deadline once the request has been read in full
+// (internal/server's TestHTTPSSEOutlivesReadTimeout).
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second // whole request, body included
+	idleTimeout       = 2 * time.Minute  // between keep-alive requests
+)
+
 func main() {
 	fs := flag.NewFlagSet("matscale-server", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
@@ -83,7 +95,13 @@ func main() {
 		log.Fatalf("matscale-server: %v", err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	done := make(chan struct{})

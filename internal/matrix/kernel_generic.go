@@ -7,8 +7,9 @@ package matrix
 // portable implementation; amd64 provides a SIMD version with the same
 // per-element operation sequence, so results are bit-identical across
 // the two. On platforms where the compiler contracts x += a*b into a
-// fused multiply-add (arm64, ppc64), mulAddIntoNaive contracts the same
-// expression shape identically, preserving the differential contract.
+// fused multiply-add (arm64, ppc64), it contracts the same expression
+// shape in mulStrip and in the test oracle mulAddIntoNaive
+// (kernel_test.go) identically, preserving the differential contract.
 func mulSpan4(cs, b0, b1, b2, b3 []float64, av0, av1, av2, av3 float64) {
 	for j := range cs {
 		s := cs[j]

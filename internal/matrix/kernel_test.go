@@ -11,6 +11,33 @@ import (
 // around every tile boundary, and sizes larger than one panel.
 var kernelSizes = []int{1, 2, 3, 4, 5, 7, 8, 13, 17, 31, 63, 64, 65, 67, 127, 128, 129, 255, 256, 257, 300}
 
+// mulAddIntoNaive is the original i-k-j triple loop, kept as the
+// test oracle for the differential bit-identity tests and
+// benchmarks. MulAddInto must agree with it bit for bit on every input.
+func mulAddIntoNaive(c, a, b *Dense) {
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("matrix: Mul inner dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if c.Rows != a.Rows || c.Cols != b.Cols {
+		panic(fmt.Sprintf("matrix: Mul output shape %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, b.Cols))
+	}
+	n, m, k := a.Rows, b.Cols, a.Cols
+	for i := 0; i < n; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		crow := c.Data[i*m : (i+1)*m]
+		for l := 0; l < k; l++ {
+			av := arow[l]
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[l*m : (l+1)*m]
+			for j := 0; j < m; j++ {
+				crow[j] += av * brow[j]
+			}
+		}
+	}
+}
+
 // mulBitIdentical runs both kernels against identical inputs and fails
 // on the first output element whose bits differ.
 func mulBitIdentical(t *testing.T, a, b *Dense) {

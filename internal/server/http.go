@@ -99,9 +99,12 @@ func (s *Server) handleVerb(verb string, apply func(id string) error) http.Handl
 	}
 }
 
+// maxSubmitBytes caps a submit body; a larger one is a bad_request.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "malformed request body: " + err.Error(), Kind: "bad_request"})

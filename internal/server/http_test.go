@@ -297,6 +297,51 @@ func TestHTTPSSEStreamsProgressAndDone(t *testing.T) {
 	}
 }
 
+func TestHTTPSSEOutlivesReadTimeout(t *testing.T) {
+	// An http.Server ReadTimeout must not cut an event stream whose job
+	// runs longer than it: the stream still ends with its "done" event.
+	const readTimeout = 100 * time.Millisecond
+	gate := newBlockingCache()
+	s, err := New(Config{MaxConcurrent: 1, SweepWorkers: 1, Cache: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ReadTimeout = readTimeout
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		s.Shutdown()
+	})
+	ack := submitHTTP(t, ts.URL, specJSON)
+	<-gate.entered
+	resp, err := http.Get(ts.URL + "/v1/sweeps/" + ack.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var last string
+	sc := bufio.NewScanner(resp.Body)
+	released := false
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "event: ") {
+			last = strings.TrimPrefix(line, "event: ")
+		}
+		if !released && line == "" { // first frame arrived; outlast the timeout
+			released = true
+			time.Sleep(3 * readTimeout)
+			close(gate.release)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if last != "done" {
+		t.Fatalf("last event = %q, want done", last)
+	}
+}
+
 func TestHTTPErrorMapping(t *testing.T) {
 	_, ts := httpServer(t, Config{SweepWorkers: 1})
 
@@ -344,6 +389,10 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 	if code, ae := post(`{"spec":{"algorithms":["gk"],"machines":["ncube2"],"ps":[16],"ns":[16]},"backend":"abacus"}`); code != http.StatusBadRequest || ae.Kind != "bad_request" {
 		t.Fatalf("bad backend: %d %+v", code, ae)
+	}
+	huge := `{"spec":{"algorithms":["` + strings.Repeat("a", maxSubmitBytes) + `"]}}`
+	if code, ae := post(huge); code != http.StatusBadRequest || ae.Kind != "bad_request" || !strings.Contains(ae.Error, "too large") {
+		t.Fatalf("oversize body: %d %+v", code, ae)
 	}
 
 	// Health and stats endpoints answer.

@@ -1,7 +1,9 @@
 package simulator
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"matscale/internal/machine"
@@ -294,6 +296,59 @@ func TestWrongTagDeadlocks(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("err = %v, want deadlock", err)
+	}
+}
+
+// At p=1024 the stalled counter must still prove a deadlock exactly,
+// both when the last live rank parks and when the last sender exits.
+func TestDeadlockDetectedAtScale(t *testing.T) {
+	const p = 1024
+	m := machine.Hypercube(p, 0, 0)
+	_, err := Run(m, func(pr *Proc) {
+		pr.Recv((pr.Rank()+1)%p, 0) // every peer is silent
+	})
+	want := "simulator: deadlock: all 1024 live processors blocked in Recv"
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("silent peers: err = %v, want prefix %q", err, want)
+	}
+
+	_, err = Run(m, func(pr *Proc) {
+		if pr.Rank() == 0 {
+			pr.Recv(1, 0) // every other rank exits without sending
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("starved rank: err = %v, want deadlock", err)
+	}
+}
+
+// Concurrent many-rank ring shifts keep their stalled counters apart:
+// none reports a false deadlock, and each equals a solo run exactly.
+func TestNoFalseDeadlockConcurrentRuns(t *testing.T) {
+	const p, rounds, runs = 1024, 8, 4
+	m := machine.Hypercube(p, 10, 1)
+	solo, err := Run(m, ringProgram(rounds, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*Result, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = Run(m, ringProgram(rounds, 16))
+		}(i)
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(res, solo) {
+			t.Fatalf("run %d: result differs from the solo run (Tp %v vs %v)", i, res.Tp, solo.Tp)
+		}
 	}
 }
 
