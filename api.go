@@ -11,10 +11,10 @@ import (
 	"matscale/internal/experiments"
 	"matscale/internal/faults"
 	"matscale/internal/machine"
+	"matscale/internal/matrix"
 	"matscale/internal/model"
 	"matscale/internal/regions"
 	"matscale/internal/server"
-	"matscale/internal/shm"
 	"matscale/internal/simulator"
 	"matscale/internal/sweep"
 )
@@ -255,22 +255,6 @@ const (
 // untyped sweep failures.
 var ServerErrorKindOf = server.KindOf
 
-// Typed sweep-server errors, re-exported so embedders can errors.As
-// when a field payload matters (RateLimited's RetryAfter, QueueFull's
-// capacity).
-//
-// Deprecated: match by class instead — errors.Is(err,
-// ServerKindQueueFull) and the other ServerErrorKind values cover
-// every server error, including the job-control ones these aliases
-// predate.
-type (
-	SweepQueueFullError    = server.QueueFullError
-	SweepRateLimitedError  = server.RateLimitedError
-	SweepShuttingDownError = server.ShuttingDownError
-	SweepJobTimeoutError   = server.JobTimeoutError
-	SweepBadSpecError      = server.BadSpecError
-)
-
 // Option configures a Run, RunAuto or HostMul call.
 type Option func(*runConfig)
 
@@ -321,19 +305,18 @@ func WithTrace(sink io.Writer) Option {
 // WithDNSGrid runs the DNS algorithm on a gridSide × gridSide block
 // grid coarser than one element per processor, letting the DNS
 // communication structure run with p < n² processors. It may only be
-// combined with a nil or DNS algorithm argument to Run. It replaces
-// the deprecated DNSWithGrid function.
+// combined with a nil or DNS algorithm argument to Run.
 func WithDNSGrid(gridSide int) Option {
 	return func(c *runConfig) { c.dnsGrid = gridSide }
 }
 
 // WithWorkers sets the number of host goroutine workers used by the
 // entry points that parallelize on the host: Sweep and RunAll fan
-// their independent simulations over n workers, and HostMul (and
-// ParallelMul) splits the multiplication itself. 0 or less means all
-// CPUs. It does not affect the simulated algorithms, whose processor
-// count is the machine's, and it never changes any measured or
-// emitted byte — only the wall-clock time.
+// their independent simulations over n workers, and HostMul splits
+// the multiplication itself. 0 or less means all CPUs. It does not
+// affect the simulated algorithms, whose processor count is the
+// machine's, and it never changes any measured or emitted byte — only
+// the wall-clock time.
 //
 // Host-kernel semantics: for HostMul the worker count selects how many
 // goroutines the host matmul kernel runs, over a static ownership
@@ -719,6 +702,11 @@ func RunAll(w io.Writer, quick bool, opts ...Option) error {
 // serial accumulation loop inside each, so parallelism only changes
 // wall-clock time, never a single output bit.
 func HostMul(a, b *Matrix, opts ...Option) (*Matrix, error) {
+	if a.Cols != b.Rows {
+		return nil, fmt.Errorf("matscale: HostMul inner dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
 	cfg := newRunConfig(opts)
-	return shm.Mul(a, b, cfg.workers, 0)
+	c := matrix.New(a.Rows, b.Cols)
+	matrix.MulAddIntoParallel(c, a, b, cfg.workers)
+	return c, nil
 }

@@ -19,7 +19,6 @@ import (
 	"matscale/internal/matrix"
 	"matscale/internal/model"
 	"matscale/internal/regions"
-	"matscale/internal/shm"
 	"matscale/internal/simulator"
 	"matscale/internal/tech"
 )
@@ -237,21 +236,23 @@ func benchKernel(b *testing.B, n int, f func(a, c *matrix.Dense) *matrix.Dense) 
 	}
 }
 
+// hostMul is matscale.HostMul on the given worker count (0 = all CPUs).
+func hostMul(b *testing.B, workers int) func(a, c *matrix.Dense) *matrix.Dense {
+	return func(a, c *matrix.Dense) *matrix.Dense {
+		out, err := matscale.HostMul(a, c, matscale.WithWorkers(workers))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return out
+	}
+}
+
 func BenchmarkHostSerialN256(b *testing.B) {
 	benchKernel(b, 256, func(a, c *matrix.Dense) *matrix.Dense { return matrix.Mul(a, c) })
 }
-func BenchmarkHostBlockedN256(b *testing.B) {
-	benchKernel(b, 256, func(a, c *matrix.Dense) *matrix.Dense { return matrix.MulBlocked(a, c, 64) })
-}
-func BenchmarkHostParallelN256(b *testing.B) {
-	benchKernel(b, 256, func(a, c *matrix.Dense) *matrix.Dense { return matscale.ParallelMul(a, c, 0) })
-}
-func BenchmarkHostParallelN512(b *testing.B) {
-	benchKernel(b, 512, func(a, c *matrix.Dense) *matrix.Dense { r, _ := shm.Mul(a, c, 0, 64); return r })
-}
-func BenchmarkHostParallel1WorkerN512(b *testing.B) {
-	benchKernel(b, 512, func(a, c *matrix.Dense) *matrix.Dense { r, _ := shm.Mul(a, c, 1, 64); return r })
-}
+func BenchmarkHostParallelN256(b *testing.B)        { benchKernel(b, 256, hostMul(b, 0)) }
+func BenchmarkHostParallelN512(b *testing.B)        { benchKernel(b, 512, hostMul(b, 0)) }
+func BenchmarkHostParallel1WorkerN512(b *testing.B) { benchKernel(b, 512, hostMul(b, 1)) }
 
 // --- Methodology validation -----------------------------------------------
 
@@ -355,16 +356,6 @@ func BenchmarkSimFoxAsyncN64P16(b *testing.B) {
 	}
 }
 
-func BenchmarkHostCannonParallelN256(b *testing.B) {
-	benchKernel(b, 256, func(a, c *matrix.Dense) *matrix.Dense {
-		out, err := shm.CannonParallel(a, c, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return out
-	})
-}
-
 // --- Parameterized sweeps (sub-benchmarks) --------------------------------
 
 // BenchmarkAlgorithmsAcrossScale runs the core algorithm suite over a
@@ -420,7 +411,7 @@ func BenchmarkHostWorkerScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 			b.SetBytes(int64(8 * 384 * 384 * 3))
 			for i := 0; i < b.N; i++ {
-				if _, err := shm.Mul(a, c, w, 64); err != nil {
+				if _, err := matscale.HostMul(a, c, matscale.WithWorkers(w)); err != nil {
 					b.Fatal(err)
 				}
 			}

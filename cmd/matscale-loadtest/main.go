@@ -347,7 +347,7 @@ func submit(hc *http.Client, base string, spec sweep.Spec) (id string, cells int
 	// Admission rejections (queue_full, rate_limited) are backpressure,
 	// not failures: retry with linear backoff before giving up.
 	for attempt := 0; ; attempt++ {
-		resp, err := hc.Post(base+"/v1/sweeps", "application/json", strings.NewReader(string(payload)))
+		resp, err := hc.Post(base+"/v1/jobs", "application/json", strings.NewReader(string(payload)))
 		if err != nil {
 			return "", 0, err
 		}
@@ -378,7 +378,7 @@ func submit(hc *http.Client, base string, spec sweep.Spec) (id string, cells int
 // server closes the stream after sending "done" or "error", so reading
 // to EOF and checking the last event name is the whole protocol.
 func watchSSE(hc *http.Client, base, id string) error {
-	resp, err := hc.Get(base + "/v1/sweeps/" + id + "/events")
+	resp, err := hc.Get(base + "/v1/jobs/" + id + "/events")
 	if err != nil {
 		return err
 	}
@@ -408,7 +408,7 @@ func watchSSE(hc *http.Client, base, id string) error {
 
 func pollStatus(hc *http.Client, base, id string, interval time.Duration) error {
 	for {
-		resp, err := hc.Get(base + "/v1/sweeps/" + id)
+		resp, err := hc.Get(base + "/v1/jobs/" + id)
 		if err != nil {
 			return err
 		}
@@ -432,7 +432,7 @@ func pollStatus(hc *http.Client, base, id string, interval time.Duration) error 
 }
 
 func fetchResult(hc *http.Client, base, id string) ([]byte, error) {
-	resp, err := hc.Get(base + "/v1/sweeps/" + id + "/result")
+	resp, err := hc.Get(base + "/v1/jobs/" + id + "/result")
 	if err != nil {
 		return nil, err
 	}

@@ -91,12 +91,15 @@ func ExampleWithBackend() {
 	// events     Tp = 776
 }
 
-// ParallelMul is the real (non-simulated) parallel multiply for the
-// host machine.
-func ExampleParallelMul() {
+// HostMul is the real (non-simulated) parallel multiply for the host
+// machine.
+func ExampleHostMul() {
 	a := matscale.RandomMatrix(64, 64, 1)
 	b := matscale.RandomMatrix(64, 64, 2)
-	c := matscale.ParallelMul(a, b, 4)
+	c, err := matscale.HostMul(a, b, matscale.WithWorkers(4))
+	if err != nil {
+		panic(err)
+	}
 	serial := matscale.Mul(a, b)
 	diff := 0.0
 	for i := range c.Data {

@@ -20,7 +20,10 @@ func main() {
 	serial := matscale.Mul(a, b)
 
 	// 2. Real shared-memory parallelism on this machine.
-	parallel := matscale.ParallelMul(a, b, 0)
+	parallel, err := matscale.HostMul(a, b)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("host parallel multiply: max diff vs serial = %g\n", maxDiff(parallel, serial))
 
 	// 3. The GK algorithm (Gupta & Kumar's contribution) on a simulated

@@ -81,14 +81,13 @@ var chargedPkgs = map[string]bool{
 // primitives, and shared memory move no simulated data and there is no
 // ts + tw·m transfer for the model to miss. internal/matrix hosts the
 // parallel matmul kernel (goroutine workers over a deterministic
-// ownership partition) and internal/shm is its thin public-API shim.
+// ownership partition).
 // The table exists to make the exemption explicit rather than an
 // accident of omission from chargedPkgs — a future PR moving paper
 // algorithm code into one of these packages should move that code into
 // a charged package instead of inheriting the exemption.
 var hostKernelPkgs = map[string]bool{
 	"matscale/internal/matrix": true,
-	"matscale/internal/shm":    true,
 }
 
 // clockOwnerPkgs are the packages allowed to mutate machine cost

@@ -218,40 +218,6 @@ func mulStrip(crow, arow, bdata []float64, l0, l1, jj, jEnd, m int) {
 	}
 }
 
-// MulBlocked returns a·b using cache blocking with the given tile size.
-// It produces the same result as Mul up to floating-point associativity.
-func MulBlocked(a, b *Dense, tile int) *Dense {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("matrix: MulBlocked inner dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if tile <= 0 {
-		panic("matrix: MulBlocked tile must be positive")
-	}
-	n, m, k := a.Rows, b.Cols, a.Cols
-	c := New(n, m)
-	for ii := 0; ii < n; ii += tile {
-		iEnd := min(ii+tile, n)
-		for ll := 0; ll < k; ll += tile {
-			lEnd := min(ll+tile, k)
-			for jj := 0; jj < m; jj += tile {
-				jEnd := min(jj+tile, m)
-				for i := ii; i < iEnd; i++ {
-					arow := a.Data[i*k : (i+1)*k]
-					crow := c.Data[i*m : (i+1)*m]
-					for l := ll; l < lEnd; l++ {
-						av := arow[l]
-						brow := b.Data[l*m : (l+1)*m]
-						for j := jj; j < jEnd; j++ {
-							crow[j] += av * brow[j]
-						}
-					}
-				}
-			}
-		}
-	}
-	return c
-}
-
 // Transpose returns mᵀ.
 func (m *Dense) Transpose() *Dense {
 	out := New(m.Cols, m.Rows)
@@ -298,24 +264,6 @@ func MaxAbsDiff(a, b *Dense) float64 {
 		}
 	}
 	return max
-}
-
-// EqualWithin reports whether every element of a and b differs by at
-// most eps.
-func EqualWithin(a, b *Dense, eps float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	return MaxAbsDiff(a, b) <= eps
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // String renders small matrices for debugging; large matrices are

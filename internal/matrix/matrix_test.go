@@ -148,23 +148,6 @@ func TestMulAddIntoShapePanics(t *testing.T) {
 	MulAddInto(New(2, 2), New(2, 3), New(3, 3))
 }
 
-func TestMulBlockedMatchesMul(t *testing.T) {
-	for _, tile := range []int{1, 2, 3, 7, 16, 100} {
-		a := RandomInts(13, 9, 11)
-		b := RandomInts(9, 17, 12)
-		got := MulBlocked(a, b, tile)
-		want := Mul(a, b)
-		if d := MaxAbsDiff(got, want); d != 0 {
-			t.Fatalf("tile %d: blocked differs from naive by %v", tile, d)
-		}
-	}
-}
-
-func TestMulBlockedBadTilePanics(t *testing.T) {
-	defer expectPanic(t, "tile must be positive")
-	MulBlocked(New(2, 2), New(2, 2), 0)
-}
-
 func TestTranspose(t *testing.T) {
 	a := Random(4, 6, 20)
 	at := a.Transpose()
@@ -204,28 +187,6 @@ func TestBlockOutOfRangePanics(t *testing.T) {
 func TestSetBlockOutOfRangePanics(t *testing.T) {
 	defer expectPanic(t, "out of range")
 	New(4, 4).SetBlock(3, 3, New(2, 2))
-}
-
-func TestFrobeniusNorm(t *testing.T) {
-	a := FromRows([][]float64{{3, 0}, {0, 4}})
-	if n := a.FrobeniusNorm(); n != 5 {
-		t.Fatalf("FrobeniusNorm = %v, want 5", n)
-	}
-}
-
-func TestEqualWithin(t *testing.T) {
-	a := Random(3, 3, 40)
-	b := a.Clone()
-	b.Data[4] += 1e-9
-	if !EqualWithin(a, b, 1e-8) {
-		t.Fatal("EqualWithin(1e-8) = false, want true")
-	}
-	if EqualWithin(a, b, 1e-10) {
-		t.Fatal("EqualWithin(1e-10) = true, want false")
-	}
-	if EqualWithin(a, New(3, 4), 1) {
-		t.Fatal("EqualWithin across shapes = true, want false")
-	}
 }
 
 func TestStringForms(t *testing.T) {

@@ -156,14 +156,7 @@ func BenchmarkMulAddIntoParallel(b *testing.B) {
 	for _, n := range []int{256, 512, 1024} {
 		for _, w := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
-				x := Random(n, n, 42)
-				y := Random(n, n, 43)
-				c := New(n, n)
-				b.SetBytes(int64(n) * int64(n) * int64(n) * 16)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					MulAddIntoParallel(c, x, y, w)
-				}
+				benchMulKernel(b, n, func(c, x, y *Dense) { MulAddIntoParallel(c, x, y, w) })
 			})
 		}
 	}

@@ -49,11 +49,8 @@ type apiError struct {
 //	GET  /v1/stats               admission, execution and cache counters
 //	GET  /v1/healthz             liveness probe
 //
-// The pre-redesign /v1/sweeps… routes remain as thin aliases of the
-// corresponding /v1/jobs… handlers.
-//
-// Deprecated routes aside, every error body is {"error", "kind"} with
-// kind an ErrorKind token and the status its HTTPStatus. See
+// Every error body a handler writes is {"error", "kind"} with kind an
+// ErrorKind token and the status its HTTPStatus. See
 // docs/SERVER.md for the full protocol and the job state machine.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -64,17 +61,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
-	// /v1/sweeps is the deprecated alias of /v1/jobs: same handlers,
-	// same bodies, kept for pre-redesign clients.
-	for _, root := range []string{"/v1/jobs", "/v1/sweeps"} {
-		mux.HandleFunc("POST "+root, s.handleSubmit)
-		mux.HandleFunc("GET "+root+"/{id}", s.handleStatus)
-		mux.HandleFunc("GET "+root+"/{id}/result", s.handleResult)
-		mux.HandleFunc("GET "+root+"/{id}/events", s.handleEvents)
-		mux.HandleFunc("POST "+root+"/{id}/suspend", s.handleVerb("suspend", s.Suspend))
-		mux.HandleFunc("POST "+root+"/{id}/resume", s.handleVerb("resume", s.Resume))
-		mux.HandleFunc("POST "+root+"/{id}/cancel", s.handleVerb("cancel", s.Cancel))
-	}
+	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
+	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
+	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
+	mux.HandleFunc("POST /v1/jobs/{id}/suspend", s.handleVerb("suspend", s.Suspend))
+	mux.HandleFunc("POST /v1/jobs/{id}/resume", s.handleVerb("resume", s.Resume))
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleVerb("cancel", s.Cancel))
 	return mux
 }
 

@@ -33,7 +33,7 @@ func httpServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // submitHTTP posts a spec and returns the decoded acknowledgment.
 func submitHTTP(t *testing.T, base string, body string) SubmitResponse {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/sweeps", "application/json", strings.NewReader(body))
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func awaitDone(t *testing.T, base, id string) Status {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/sweeps/" + id)
+		resp, err := http.Get(base + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func awaitDone(t *testing.T, base, id string) Status {
 // fetchResult GETs a completed job's result bytes.
 func fetchResult(t *testing.T, base, id string) []byte {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/sweeps/" + id + "/result")
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestHTTPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(specJSON))
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(specJSON))
 			if err != nil {
 				errs[i] = err
 				return
@@ -184,7 +184,7 @@ func TestHTTPConcurrentClients(t *testing.T) {
 				return
 			}
 			for {
-				r, err := http.Get(ts.URL + "/v1/sweeps/" + ack.ID)
+				r, err := http.Get(ts.URL + "/v1/jobs/" + ack.ID)
 				if err != nil {
 					errs[i] = err
 					return
@@ -205,7 +205,7 @@ func TestHTTPConcurrentClients(t *testing.T) {
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
-			r, err := http.Get(ts.URL + "/v1/sweeps/" + ack.ID + "/result")
+			r, err := http.Get(ts.URL + "/v1/jobs/" + ack.ID + "/result")
 			if err != nil {
 				errs[i] = err
 				return
@@ -235,7 +235,7 @@ func TestHTTPSSEStreamsProgressAndDone(t *testing.T) {
 	_, ts := httpServer(t, Config{MaxConcurrent: 1, SweepWorkers: 1, Cache: gate})
 	ack := submitHTTP(t, ts.URL, specJSON)
 	<-gate.entered
-	resp, err := http.Get(ts.URL + "/v1/sweeps/" + ack.ID + "/events")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + ack.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestHTTPSSEStreamsProgressAndDone(t *testing.T) {
 		t.Fatalf("terminal event = %+v, want %d/%d cells", final, ack.Cells, ack.Cells)
 	}
 	// A late subscriber gets the terminal event immediately.
-	resp2, err := http.Get(ts.URL + "/v1/sweeps/" + ack.ID + "/events")
+	resp2, err := http.Get(ts.URL + "/v1/jobs/" + ack.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestHTTPSSEOutlivesReadTimeout(t *testing.T) {
 	})
 	ack := submitHTTP(t, ts.URL, specJSON)
 	<-gate.entered
-	resp, err := http.Get(ts.URL + "/v1/sweeps/" + ack.ID + "/events")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + ack.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,18 +358,27 @@ func TestHTTPErrorMapping(t *testing.T) {
 		return resp.StatusCode, ae
 	}
 
-	if code, ae := get("/v1/sweeps/nope"); code != http.StatusNotFound || ae.Kind != "unknown_job" {
+	if code, ae := get("/v1/jobs/nope"); code != http.StatusNotFound || ae.Kind != "unknown_job" {
 		t.Fatalf("unknown job: %d %+v", code, ae)
 	}
-	if code, ae := get("/v1/sweeps/nope/result"); code != http.StatusNotFound || ae.Kind != "unknown_job" {
+	if code, ae := get("/v1/jobs/nope/result"); code != http.StatusNotFound || ae.Kind != "unknown_job" {
 		t.Fatalf("unknown result: %d %+v", code, ae)
 	}
-	if code, ae := get("/v1/sweeps/nope/events"); code != http.StatusNotFound || ae.Kind != "unknown_job" {
+	if code, ae := get("/v1/jobs/nope/events"); code != http.StatusNotFound || ae.Kind != "unknown_job" {
 		t.Fatalf("unknown events: %d %+v", code, ae)
+	}
+	// The pre-redesign /v1/sweeps routes are gone.
+	gone, err := http.Get(ts.URL + "/v1/sweeps/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone.Body.Close()
+	if gone.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/sweeps/x: %d, want 404", gone.StatusCode)
 	}
 
 	post := func(body string) (int, apiError) {
-		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +431,7 @@ func TestHTTPResultNotDone(t *testing.T) {
 	_, ts := httpServer(t, Config{MaxConcurrent: 1, SweepWorkers: 1, Cache: gate})
 	ack := submitHTTP(t, ts.URL, specJSON)
 	<-gate.entered
-	resp, err := http.Get(ts.URL + "/v1/sweeps/" + ack.ID + "/result")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + ack.ID + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -343,6 +343,25 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	}
 }
 
+func TestWriteFileSync(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "job-1.ckpt")
+	if err := writeFileSync(path, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "payload" {
+		t.Fatalf("read back %q, %v", got, err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind (stat: %v)", err)
+	}
+	// A write that cannot land fails instead of claiming durability.
+	missing := filepath.Join(dir, "gone", "job-2.ckpt")
+	if err := writeFileSync(missing, []byte("x")); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+}
+
 func TestErrorKindTable(t *testing.T) {
 	cases := []struct {
 		err    error
@@ -429,9 +448,8 @@ func TestHTTPJobControlRoutes(t *testing.T) {
 	if code, body := get("/v1/jobs/" + target.ID + "/result"); code != 409 || body["kind"] != "suspended" {
 		t.Fatalf("suspended result: %d %v", code, body)
 	}
-	// Resume through the deprecated alias: same handler, same job.
-	if code, body := post("/v1/sweeps/" + target.ID + "/resume"); code != 200 || body["state"] != "queued" {
-		t.Fatalf("alias resume: %d %v", code, body)
+	if code, body := post("/v1/jobs/" + target.ID + "/resume"); code != 200 || body["state"] != "queued" {
+		t.Fatalf("resume: %d %v", code, body)
 	}
 	// Unknown job: 404 with kind "unknown_job".
 	if code, body := post("/v1/jobs/job-nope/cancel"); code != 404 || body["kind"] != "unknown_job" {

@@ -28,27 +28,56 @@ func (s *Server) ckptPath(id string) string {
 	return filepath.Join(s.cfg.CheckpointDir, id+ckptExt)
 }
 
-// persistCheckpoint writes a suspended job's checkpoint durably: the
-// bytes go to a temp file first and land under the final name via
-// rename, so readers (and a restarted server) only ever see a complete
-// file. A no-op without a CheckpointDir.
+// persistCheckpoint writes a suspended job's checkpoint durably (see
+// writeFileSync), so readers and a restarted server only ever see a
+// complete file, even after a power cut. A no-op without a
+// CheckpointDir.
 func (s *Server) persistCheckpoint(id string, ck *sweep.Checkpoint) error {
 	if s.cfg.CheckpointDir == "" {
 		return nil
 	}
 	data, err := ck.Encode()
+	if err == nil {
+		err = writeFileSync(s.ckptPath(id), data)
+	}
 	if err != nil {
 		return fmt.Errorf("server: persist checkpoint for %s: %w", id, err)
 	}
-	path := s.ckptPath(id)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("server: persist checkpoint for %s: %w", id, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("server: persist checkpoint for %s: %w", id, err)
-	}
 	return nil
+}
+
+// writeFileSync writes data to a temp file, fsyncs and closes it, then
+// renames it to path and fsyncs the directory so the rename itself is
+// on stable storage. A failure removes the temp file.
+func writeFileSync(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // removeCheckpoint deletes a job's persisted checkpoint once it is no

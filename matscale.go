@@ -72,21 +72,6 @@ var (
 	WriteCSV = matrix.WriteCSV
 )
 
-// ParallelMul multiplies on the host machine with real goroutine
-// workers (0 = all CPUs) — the library's non-simulated fast path.
-//
-// Deprecated: ParallelMul panics on an inner-dimension mismatch. Use
-// HostMul, which returns an error instead:
-//
-//	c, err := matscale.HostMul(a, b, matscale.WithWorkers(n))
-func ParallelMul(a, b *Matrix, workers int) *Matrix {
-	c, err := HostMul(a, b, WithWorkers(workers))
-	if err != nil {
-		panic("matscale: " + err.Error())
-	}
-	return c
-}
-
 // Machine presets (Sections 6 and 9 of the paper).
 var (
 	// NCube2 is a store-and-forward hypercube with ts=150, tw=3 (Figure 1).
@@ -136,12 +121,3 @@ var (
 	// FoxAsync is the asynchronous Fox execution (§4.3).
 	FoxAsync Algorithm = core.FoxAsync
 )
-
-// DNSWithGrid runs the DNS algorithm on a block grid coarser than one
-// element per processor.
-//
-// Deprecated: use Run with the WithDNSGrid option, which composes with
-// the other observability options:
-//
-//	res, err := matscale.Run(matscale.DNS, m, a, b, matscale.WithDNSGrid(q))
-var DNSWithGrid = core.DNSWithGrid
