@@ -50,11 +50,13 @@ checkpoint-equivalence:
 	$(GO) test -race -count=1 -run 'TestCheckpoint|TestRestore|TestResume' .
 
 # The host-kernel differential suite under the race detector: the
-# parallel matmul kernel must be byte-identical to the serial kernel at
-# workers ∈ {1, 2, 4, NumCPU}, on both partition axes
-# (docs/PERFORMANCE.md). Mirrors sweep-determinism for the kernel.
+# serial kernel must be bit-identical to the naive loop on every
+# differential set and dispatch target, and the parallel kernel
+# byte-identical to the serial one at workers ∈ {1, 2, 4, NumCPU}, on
+# both partition axes (docs/PERFORMANCE.md). Mirrors sweep-determinism
+# for the kernel.
 kernel-equivalence:
-	$(GO) test -race -count=1 -run 'TestKernelWorkerEquivalence|TestMulAddIntoParallel' ./internal/matrix
+	$(GO) test -race -count=1 -run 'TestMulAddIntoBitIdentical|TestKernelWorkerEquivalence|TestMulAddIntoParallel' ./internal/matrix
 
 # The CI determinism check: the same sweep spec must emit byte-identical
 # CSV at 1 and 8 host workers, under the race detector (docs/SWEEP.md).

@@ -139,10 +139,13 @@ func Mul(a, b *Dense) *Dense {
 }
 
 // Panel sizes for the tiled kernel. A kcBlock×ncBlock panel of b
-// (kcBlock·ncBlock·8 bytes = 256 KiB) stays resident in L2 while every
-// row of a streams against it, and the 4-deep unroll over the shared
-// dimension keeps each output element in a register across four
-// accumulation steps instead of a load/store round trip per step.
+// (kcBlock·ncBlock·8 bytes = 256 KiB) stays resident in L2 while the
+// rows of a stream against it. On amd64 with AVX2 the rows go four at
+// a time through a 4×8 register tile that keeps its block of c in
+// registers across the whole kcBlock-deep panel; elsewhere each row
+// goes through mulPanel, whose 4-deep unroll keeps each output element
+// in a register across four accumulation steps instead of a
+// load/store round trip per step.
 const (
 	ncBlock = 256 // columns of b/c per panel
 	kcBlock = 128 // depth of the shared dimension per panel
@@ -163,15 +166,35 @@ func MulAddInto(c, a, b *Dense) {
 	if c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: Mul output shape %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, b.Cols))
 	}
+	mulPanels(c, a, b, 0, b.Cols)
+}
+
+// mulPanels computes columns [j0, j1) of c += a·b, walking the ncBlock
+// column panels from j0 and, inside each, the kcBlock depth panels and
+// then the rows. It is the one loop nest of the kernel: MulAddInto runs
+// it over all columns and each column-panel worker of
+// MulAddIntoParallel over the panels it owns, so both run the same
+// compiled code over the same panel boundaries. Each whole group of
+// four rows first offers the panel to the register tile (mulTile); the
+// columns the tile leaves, and the rows past the last whole group, run
+// mulPanel row by row.
+func mulPanels(c, a, b *Dense, j0, j1 int) {
 	n, m, k := a.Rows, b.Cols, a.Cols
-	for jj := 0; jj < m; jj += ncBlock {
-		jEnd := min(jj+ncBlock, m)
+	for jj := j0; jj < j1; jj += ncBlock {
+		jEnd := min(jj+ncBlock, j1)
 		for ll := 0; ll < k; ll += kcBlock {
 			lEnd := min(ll+kcBlock, k)
-			for i := 0; i < n; i++ {
-				arow := a.Data[i*k : (i+1)*k]
-				crow := c.Data[i*m : (i+1)*m]
-				mulPanel(crow, arow, b.Data, ll, lEnd, jj, jEnd, m)
+			for i := 0; i < n; i += 4 {
+				rows, j := min(4, n-i), jj
+				if rows == 4 {
+					j = mulTile(c, a, b, i, ll, lEnd, jj, jEnd)
+				}
+				if j == jEnd {
+					continue
+				}
+				for r := i; r < i+rows; r++ {
+					mulPanel(c.Data[r*m:(r+1)*m], a.Data[r*k:(r+1)*k], b.Data, ll, lEnd, j, jEnd, m)
+				}
 			}
 		}
 	}
@@ -203,7 +226,12 @@ func mulPanel(crow, arow, bdata []float64, ll, lEnd, jj, jEnd, m int) {
 
 // mulStrip is the one-depth-step-at-a-time fallback; its body is the
 // inner two loops of the test oracle mulAddIntoNaive (kernel_test.go)
-// restricted to one column panel.
+// restricted to one column panel. The sum is written product first:
+// when both operands are NaN the result keeps the first source's
+// payload, and the compiler keeps a dead first operand as the first
+// source, so this form compiles to the product-first add of the amd64
+// kernels wherever it is inlined. Written cs[j] += av*brow[j], it
+// compiled to either order depending on the inlining site.
 func mulStrip(crow, arow, bdata []float64, l0, l1, jj, jEnd, m int) {
 	for l := l0; l < l1; l++ {
 		av := arow[l]
@@ -213,7 +241,7 @@ func mulStrip(crow, arow, bdata []float64, l0, l1, jj, jEnd, m int) {
 		brow := bdata[l*m+jj : l*m+jEnd]
 		cs := crow[jj:jEnd]
 		for j := range cs {
-			cs[j] += av * brow[j]
+			cs[j] = av*brow[j] + cs[j]
 		}
 	}
 }

@@ -19,14 +19,15 @@ import (
 // one WaitGroup join at the end.
 //
 // The bit-identity argument is deliberately strict: every worker runs
-// the serial kernel's own compiled panel loop (mulPanel → mulSpan4 /
-// mulStrip) over its slab, not a re-implementation of it, and slabs
-// are panel-aligned so even the SIMD kernels' vector/tail split per
-// element is the one the serial traversal produces. Identical machine
-// code over identical values gives identical bits — including NaN
-// payloads, whose propagation through MULSD/ADDPD depends on operand
-// order and therefore is NOT preserved between differently compiled
-// but mathematically equal loops. Partitioning then reorders work only
+// the serial kernel's own compiled panel loop (mulPanels, with the
+// register tile and mulPanel under it) over its slab, not a
+// re-implementation of it, and slabs are panel-aligned so even each
+// element's choice between tile, vector body and tail is the one the
+// serial traversal produces. Identical machine code over identical
+// values gives identical bits — including NaN payloads, whose
+// propagation through MULSD/ADDPD depends on operand order and
+// therefore is NOT preserved between differently compiled but
+// mathematically equal loops. Partitioning then reorders work only
 // across output elements, never within one, so the result cannot
 // depend on the worker count. Each worker's live panel of b (at most
 // kcBlock·ncBlock·8 bytes = 256 KiB) is private to it by ownership
@@ -62,13 +63,18 @@ func MulAddIntoParallel(c, a, b *Dense, workers int) {
 	wg.Wait()
 }
 
-// mulOwnedSpan runs one worker's slab of the output.
+// mulOwnedSpan runs one worker's slab of the output. A column slab is
+// a whole number of ncBlock-aligned panels (PlanOwnership aligns j0
+// and j1), so mulPanels walks exactly the panel boundaries the serial
+// traversal produces for them, against b in place; workers pass
+// overlapping whole-row slice headers but write only the columns they
+// own.
 func mulOwnedSpan(c, a, b *Dense, axis OwnershipAxis, s OwnershipSpan) {
 	if axis == OwnRows {
 		mulRowBand(c, a, b, s.Start, s.End)
 		return
 	}
-	mulColPanels(c, a, b, s.Start, s.End)
+	mulPanels(c, a, b, s.Start, s.End)
 }
 
 // mulRowBand computes rows [r0, r1) of c += a·b by viewing the band as
@@ -81,27 +87,4 @@ func mulRowBand(c, a, b *Dense, r0, r1 int) {
 	cBand := &Dense{Rows: r1 - r0, Cols: m, Data: c.Data[r0*m : r1*m]}
 	aBand := &Dense{Rows: r1 - r0, Cols: k, Data: a.Data[r0*k : r1*k]}
 	MulAddInto(cBand, aBand, b)
-}
-
-// mulColPanels computes columns [j0, j1) of c += a·b — a whole number
-// of ncBlock-aligned column panels — with MulAddInto's own loop nest
-// restricted to the slab: the same mulPanel calls, over the same
-// panel boundaries (j0 and j1 are panel-aligned by PlanOwnership, so
-// jj and jEnd here take exactly the values the serial traversal
-// produces for these panels), against b in place. Workers pass
-// overlapping whole-row slice headers but write the disjoint
-// [jj, jEnd) column ranges they own.
-func mulColPanels(c, a, b *Dense, j0, j1 int) {
-	n, m, k := a.Rows, b.Cols, a.Cols
-	for jj := j0; jj < j1; jj += ncBlock {
-		jEnd := min(jj+ncBlock, j1)
-		for ll := 0; ll < k; ll += kcBlock {
-			lEnd := min(ll+kcBlock, k)
-			for i := 0; i < n; i++ {
-				arow := a.Data[i*k : (i+1)*k]
-				crow := c.Data[i*m : (i+1)*m]
-				mulPanel(crow, arow, b.Data, ll, lEnd, jj, jEnd, m)
-			}
-		}
-	}
 }

@@ -333,13 +333,51 @@ func TestCheckpointPersistsAcrossRestart(t *testing.T) {
 	s2.Shutdown()
 }
 
-func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
+// TestRestoreQuarantinesCorruptCheckpoint pins the startup contract for
+// a torn or tampered checkpoint: New still succeeds, the file is moved
+// aside as <id>.ckpt.corrupt and counted, its job is not restored, and
+// a valid checkpoint beside it still restores.
+func TestRestoreQuarantinesCorruptCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "job-9.ckpt"), []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{CheckpointDir: dir}); err == nil {
-		t.Fatal("corrupt checkpoint accepted at startup")
+	valid, err := (&sweep.Checkpoint{Spec: *testSpec()}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job-3.ckpt"), valid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{CheckpointDir: dir})
+	if err != nil {
+		t.Fatalf("corrupt checkpoint kept the server down: %v", err)
+	}
+	defer s.Shutdown()
+	if _, err := os.Stat(filepath.Join(dir, "job-9.ckpt.corrupt")); err != nil {
+		t.Fatalf("corrupt checkpoint not quarantined: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "job-9.ckpt")); !os.IsNotExist(err) {
+		t.Fatalf("corrupt checkpoint left in place (stat: %v)", err)
+	}
+	if _, ok := s.Job("job-9"); ok {
+		t.Fatal("corrupt checkpoint restored as a job")
+	}
+	if j, ok := s.Job("job-3"); !ok || j.State() != StateSuspended {
+		t.Fatalf("valid checkpoint beside the corrupt one not restored (found %v)", ok)
+	}
+	if st := s.Stats(); st.CheckpointsQuarantined != 1 || st.Suspended != 1 {
+		t.Fatalf("stats = %+v, want 1 quarantined and 1 suspended", st)
+	}
+	// A second start over the same directory sees only the valid file.
+	s.Shutdown()
+	s2, err := New(Config{CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Shutdown()
+	if st := s2.Stats(); st.CheckpointsQuarantined != 0 || st.Suspended != 1 {
+		t.Fatalf("restart stats = %+v, want 0 quarantined and 1 suspended", st)
 	}
 }
 

@@ -15,13 +15,17 @@ import (
 // (running jobs drain on Shutdown) or derivable (terminal results
 // re-simulate byte-identically from their specs). Each suspended job
 // owns one file, <CheckpointDir>/<id>.ckpt, holding its encoded
-// sweep.Checkpoint; the integrity hash of the container makes a
-// torn or tampered file a typed startup error instead of silent
-// corruption.
+// sweep.Checkpoint; the integrity hash of the container turns a torn
+// or tampered file into a decode error, never a silently wrong resume.
 
 // ckptExt is the checkpoint file suffix; files without it are ignored
 // by the restore scan.
 const ckptExt = ".ckpt"
+
+// corruptExt is appended to a checkpoint file that fails to decode or
+// validate at startup, which takes it out of every later restore scan
+// but keeps it for the operator to inspect.
+const corruptExt = ".corrupt"
 
 // ckptPath returns the checkpoint file for a job ID.
 func (s *Server) ckptPath(id string) string {
@@ -94,10 +98,12 @@ func (s *Server) removeCheckpoint(id string) {
 // restoreCheckpoints scans CheckpointDir (creating it if absent) and
 // rebuilds each persisted checkpoint as a suspended job under its
 // original ID, advancing the ID counter past the restored ones so new
-// submissions never collide. Called by New before the workers start; a
-// checkpoint that fails to decode or validate aborts construction with
-// a typed error naming the file — the operator decides whether to
-// remove it.
+// submissions never collide. Called by New before the workers start. A
+// checkpoint that fails to decode or validate — a torn write after a
+// power loss, say — is quarantined: renamed to <id>.ckpt.corrupt and
+// counted in Stats.CheckpointsQuarantined, and startup goes on without
+// that job. An I/O error reading or renaming a file still aborts
+// construction with an error naming the file.
 func (s *Server) restoreCheckpoints() error {
 	if s.cfg.CheckpointDir == "" {
 		return nil
@@ -114,17 +120,22 @@ func (s *Server) restoreCheckpoints() error {
 		if ent.IsDir() || !strings.HasSuffix(name, ckptExt) {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(s.cfg.CheckpointDir, name))
+		path := filepath.Join(s.cfg.CheckpointDir, name)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("server: restore %s: %w", name, err)
 		}
 		ck, err := sweep.DecodeCheckpoint(data)
-		if err != nil {
-			return fmt.Errorf("server: restore %s: %w", name, err)
+		var cells []sweep.Cell
+		if err == nil {
+			cells, err = ck.Spec.Cells()
 		}
-		cells, err := ck.Spec.Cells()
 		if err != nil {
-			return fmt.Errorf("server: restore %s: %w", name, err)
+			if err := os.Rename(path, path+corruptExt); err != nil {
+				return fmt.Errorf("server: quarantine %s: %w", name, err)
+			}
+			s.quarantined++
+			continue
 		}
 		id := strings.TrimSuffix(name, ckptExt)
 		sp := ck.Spec

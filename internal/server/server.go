@@ -95,11 +95,12 @@ type Config struct {
 	// applies: the job fails with *JobTimeoutError.
 	SuspendOnTimeout bool
 	// CheckpointDir, when non-empty, persists every suspended job's
-	// checkpoint as <dir>/<id>.ckpt (written to a temp file and renamed,
-	// so a crash never leaves a torn checkpoint) and removes it when the
-	// job reaches a terminal state. New scans the directory and restores
-	// its suspended jobs — IDs included — so suspended work survives a
-	// server restart.
+	// checkpoint as <dir>/<id>.ckpt (written to a temp file, fsynced and
+	// renamed, so a crash never leaves a torn checkpoint) and removes it
+	// when the job reaches a terminal state. New scans the directory and
+	// restores its suspended jobs — IDs included — so suspended work
+	// survives a server restart; a file that fails to decode is renamed
+	// to <id>.ckpt.corrupt and skipped.
 	CheckpointDir string
 	// Clock injects wall time; nil disables RatePerSec and JobTimeout.
 	Clock Clock
@@ -223,6 +224,7 @@ type Server struct {
 	rejRate     int
 	rejSpec     int
 	cellsServed int
+	quarantined int // corrupt checkpoint files moved aside by New
 
 	wg sync.WaitGroup
 }
@@ -645,6 +647,9 @@ type Stats struct {
 	// CellsServed totals the grid cells of completed jobs (hits and
 	// misses alike).
 	CellsServed int `json:"cells_served"`
+	// CheckpointsQuarantined counts the checkpoint files New found
+	// corrupt and renamed to <id>.ckpt.corrupt instead of restoring.
+	CheckpointsQuarantined int `json:"checkpoints_quarantined"`
 	// Jobs is the number of jobs currently queryable by ID.
 	Jobs     int  `json:"jobs"`
 	Draining bool `json:"draining"`
@@ -671,6 +676,8 @@ func (s *Server) Stats() Stats {
 		CellsServed:   s.cellsServed,
 		Jobs:          len(s.jobs),
 		Draining:      s.draining,
+
+		CheckpointsQuarantined: s.quarantined,
 	}
 	s.mu.Unlock()
 	if s.lru != nil {
